@@ -38,9 +38,13 @@ class EnvironmentVocabulary:
     def fit(self, environments: list[Environment]) -> "EnvironmentVocabulary":
         if not environments:
             raise ValueError("cannot fit a vocabulary on zero environments")
+        # Callers pass one environment per window, so the list repeats a
+        # few objects thousands of times: fit each field on its distinct
+        # values only (same sorted classes, same ids).
+        distinct = {id(env): env for env in environments}.values()
         for field in self.fields:
             encoder = LabelEncoder()
-            encoder.fit([getattr(env, field) for env in environments])
+            encoder.fit(dict.fromkeys(getattr(env, field) for env in distinct))
             self._encoders[field] = encoder
         return self
 
@@ -71,25 +75,27 @@ class EnvironmentVocabulary:
     def encode(self, environments: list[Environment]) -> np.ndarray:
         """Environments -> (n, n_fields) integer id matrix.
 
-        Callers pass one environment per *window*, so the list is runs of
-        identical values (every window of an execution shares its EM
-        tuple). Each distinct environment is encoded once and the rows
+        Callers pass one environment per *window*, so the list repeats a
+        few objects (every window of an execution shares its EM tuple
+        object). Each distinct environment is encoded once and the rows
         gathered back — identical ids, without re-hashing four strings
-        per window.
+        per window: a window whose environment object was already seen
+        finds its row by identity, and only a new object is hashed.
         """
         self._require_fitted()
         unique: dict[Environment, int] = {}
-        index = np.empty(len(environments), dtype=np.intp)
-        for i, env in enumerate(environments):
-            slot = unique.get(env)
+        by_object: dict[int, int] = {}
+        index = []
+        for env in environments:
+            slot = by_object.get(id(env))
             if slot is None:
-                slot = unique[env] = len(unique)
-            index[i] = slot
+                slot = by_object[id(env)] = unique.setdefault(env, len(unique))
+            index.append(slot)
         columns = [
             self._encoders[field].transform([getattr(env, field) for env in unique])
             for field in self.fields
         ]
-        return np.stack(columns, axis=1)[index]
+        return np.stack(columns, axis=1)[np.asarray(index, dtype=np.intp)]
 
     def encode_one(self, environment: Environment) -> np.ndarray:
         return self.encode([environment])[0]
@@ -172,21 +178,34 @@ class EnvironmentEmbeddings(Module):
         """Dimensionality of C = [ec^1, ..., ec^k]."""
         return self.embedding_dim * len(self.vocabulary.fields)
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        """(n, n_fields) id matrix -> (n, output_dim) concatenated embeddings."""
+    def field_ids(self, ids: np.ndarray) -> list[np.ndarray]:
+        """Validated per-field id columns for one forward pass.
+
+        In training mode with ``unknown_dropout`` each field, in field
+        order, draws one uniform vector from the shared generator (one
+        ``(n_fields, n)`` draw: the generator fills it row after row) and
+        swaps the drawn rows to its ``<unk>`` id. The tape forward and the
+        compiled training step both take their ids (and draws) from here.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2 or ids.shape[1] != len(self.vocabulary.fields):
             raise ValueError(
                 f"expected ids of shape (n, {len(self.vocabulary.fields)}); got {ids.shape}"
             )
-        pieces = []
-        for i, field in enumerate(self.vocabulary.fields):
-            column = ids[:, i]
-            if self.training and self.unknown_dropout > 0.0:
-                unknown_id = self.tables[field].num_embeddings - 1
-                mask = self._rng.random(len(column)) < self.unknown_dropout
-                column = np.where(mask, unknown_id, column)
-            pieces.append(self.tables[field](column))
+        tables = [self.tables[field] for field in self.vocabulary.fields]
+        columns = ids.T
+        if self.training and self.unknown_dropout > 0.0:
+            drawn = self._rng.random(columns.shape) < self.unknown_dropout
+            unknown_ids = np.array([[table.num_embeddings - 1] for table in tables])
+            columns = np.where(drawn, unknown_ids, columns)
+        return [table.check_ids(column) for table, column in zip(tables, columns)]
+
+    def forward(self, ids: np.ndarray) -> Tensor:
+        """(n, n_fields) id matrix -> (n, output_dim) concatenated embeddings."""
+        pieces = [
+            self.tables[field](column)
+            for field, column in zip(self.vocabulary.fields, self.field_ids(ids))
+        ]
         return Tensor.concat(pieces, axis=1)
 
     def table_arrays(self) -> list[np.ndarray]:

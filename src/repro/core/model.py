@@ -48,7 +48,14 @@ from ..nn.inference import (
 )
 from ..nn.layers import Dense, Dropout, Module
 from ..nn.tensor import Tensor, no_grad
-from ..nn.training import EarlyStopping, Trainer, TrainingHistory
+from ..nn.training import (
+    EarlyStopping,
+    Trainer,
+    TrainingHistory,
+    TrainStep,
+    compile_train_step,
+    register_train_step,
+)
 from .embeddings import EnvironmentEmbeddings, EnvironmentVocabulary
 
 __all__ = ["Env2VecModel", "Env2VecRegressor", "PREDICTION_HEADS"]
@@ -130,6 +137,15 @@ class Env2VecModel(Module):
         """Deprecated alias: the recurrent-cell family behind the encoder."""
         return "lstm" if self.encoder_name.startswith("lstm") else "gru"
 
+    def _check_inputs(self, cf: np.ndarray, history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cf = np.asarray(cf, dtype=np.float64)
+        history = np.asarray(history, dtype=np.float64)
+        if cf.shape[1] != self.n_features:
+            raise ValueError(f"expected {self.n_features} contextual features, got {cf.shape[1]}")
+        if history.shape[1] != self.n_lags:
+            raise ValueError(f"expected history window of {self.n_lags}, got {history.shape[1]}")
+        return cf, history
+
     def forward(self, cf: np.ndarray, history: np.ndarray, env: np.ndarray) -> Tensor:
         """Predict ``y'_p`` for a batch.
 
@@ -137,12 +153,7 @@ class Env2VecModel(Module):
         ``history``: (batch, n_lags) previous RU values, oldest first;
         ``env``: (batch, n_fields) integer EM ids.
         """
-        cf = np.asarray(cf, dtype=np.float64)
-        history = np.asarray(history, dtype=np.float64)
-        if cf.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} contextual features, got {cf.shape[1]}")
-        if history.shape[1] != self.n_lags:
-            raise ValueError(f"expected history window of {self.n_lags}, got {history.shape[1]}")
+        cf, history = self._check_inputs(cf, history)
         v_fs = self.fnn_dropout(self.fnn(Tensor(cf)))
         v_ts = self.encoder(Tensor(history[:, :, None]))
         v_s = Tensor.concat([v_ts, v_fs], axis=1)
@@ -154,6 +165,101 @@ class Env2VecModel(Module):
             return ((v_d @ self.bilinear) * c).sum(axis=1)
         merged = Tensor.concat([v_d, c], axis=1)
         return self.head_out(self.head_hidden(merged)).reshape(-1)
+
+
+@register_train_step(Env2VecModel)
+def _train_env2vec(model: Env2VecModel, grad_of) -> TrainStep | None:
+    """Compiled training step for the full Env2Vec architecture.
+
+    Mirrors :meth:`Env2VecModel.forward` in training mode on the tape's own
+    kernels and in its order: the FNN dense layer and its dropout (one mask
+    draw), the encoder's registered training pair (an encoder without one
+    keeps the whole model on the tape), the combination layer, the
+    per-field embedding gathers (one ``<unk>`` draw per field), and the
+    head evaluated as the tape evaluates it — a multiply and a row sum,
+    not the inference engine's ``einsum``. The backward pass hands each
+    gradient to the matching ``ops`` backward kernel; the embedding tables
+    get their scatter-add as a segment sum.
+    """
+    encoder = compile_train_step(model.encoder, grad_of)
+    if encoder is None:
+        return None
+    dropout, embeddings = model.fnn_dropout, model.embeddings
+    tables = [embeddings.tables[field] for field in embeddings.vocabulary.fields]
+    head, split, width = model.head, model.encoder.output_dim, embeddings.embedding_dim
+    workspace = ops.Workspace()  # this fit's activations, reused batch to batch
+
+    def dense(name: str, x: np.ndarray):
+        layer = getattr(model, name)
+        return ops.dense_forward(
+            x, layer.weight.data, layer.bias.data, layer.activation_name,
+            workspace=workspace.child(name),
+        )
+
+    def put_dense(name: str, grad: np.ndarray, cache: dict, input_grad: bool = True):
+        layer = getattr(model, name)
+        d_x, d_weight, d_bias = ops.dense_backward(grad, cache, input_grad=input_grad)
+        grad_of(layer.weight)[...] = d_weight
+        grad_of(layer.bias)[...] = d_bias
+        return d_x
+
+    def concat(name: str, parts: list[np.ndarray]) -> np.ndarray:
+        shape = (len(parts[0]), sum(part.shape[1] for part in parts))
+        return np.concatenate(parts, axis=1, out=workspace.empty(name, shape))
+
+    def forward(cf: np.ndarray, history: np.ndarray, env: np.ndarray):
+        cf, history = model._check_inputs(cf, history)
+        v_fs, fnn_cache = dense("fnn", cf)
+        drop_cache = None
+        if dropout.training and dropout.rate != 0.0:
+            v_fs, drop_cache = ops.dropout_forward(
+                v_fs, dropout.rate, dropout.rng, workspace=workspace.child("fnn_dropout")
+            )
+        v_ts, encoder_cache = encoder.forward(history[:, :, None])
+        v_d, combine_cache = dense("combine", concat("v_s", [v_ts, v_fs]))
+        gathered = [
+            ops.embedding_forward(table.weight.data, column)
+            for table, column in zip(tables, embeddings.field_ids(env))
+        ]
+        c = concat("c", [rows for rows, _ in gathered])
+        head_cache = None
+        if head == "hadamard":
+            predicted = np.multiply(v_d, c, out=workspace.empty("product", c.shape)).sum(axis=1)
+        elif head == "bilinear":
+            head_cache = v_d @ model.bilinear.data
+            predicted = np.multiply(head_cache, c, out=workspace.empty("product", c.shape)).sum(axis=1)
+        else:
+            hidden, hidden_cache = dense("head_hidden", concat("merged", [v_d, c]))
+            out, out_cache = dense("head_out", hidden)
+            predicted, head_cache = out.reshape(-1), (hidden_cache, out_cache)
+        caches = (fnn_cache, drop_cache, encoder_cache, combine_cache, gathered, v_d, c, head_cache)
+        return predicted, caches
+
+    def backward(d_predicted: np.ndarray, caches) -> None:
+        fnn_cache, drop_cache, encoder_cache, combine_cache, gathered, v_d, c, head_cache = caches
+        if head == "hadamard":
+            d_v_d, d_c = ops.hadamard_head_backward(d_predicted, v_d, c)
+        elif head == "bilinear":
+            d_v_d, d_bilinear, d_c = ops.bilinear_head_backward(
+                d_predicted, v_d, model.bilinear.data, c, head_cache
+            )
+            grad_of(model.bilinear)[...] = d_bilinear
+        else:
+            hidden_cache, out_cache = head_cache
+            d_hidden = put_dense("head_out", d_predicted.reshape(-1, 1), out_cache)
+            d_merged = put_dense("head_hidden", d_hidden, hidden_cache)
+            d_v_d, d_c = d_merged[:, : c.shape[1]], d_merged[:, c.shape[1] :]
+        for k, (table, (_, cache)) in enumerate(zip(tables, gathered)):
+            piece = d_c[:, k * width : (k + 1) * width]
+            grad_of(table.weight)[...] = ops.embedding_backward(piece, cache)[0]
+        d_v_s = put_dense("combine", d_v_d, combine_cache)
+        d_v_fs = d_v_s[:, split:]
+        if drop_cache is not None:
+            d_v_fs = ops.dropout_backward(d_v_fs, drop_cache)[0]
+        put_dense("fnn", d_v_fs, fnn_cache, input_grad=False)
+        encoder.backward(d_v_s[:, :split], encoder_cache)
+
+    return TrainStep(forward, backward)
 
 
 @register_compiler(Env2VecModel)

@@ -44,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init as initializers
+from . import ops
 from .attention import AdditiveAttention
 from .gru import GRU
 from .inference import (
@@ -54,6 +55,7 @@ from .inference import (
 from .layers import Module
 from .lstm import LSTM
 from .tensor import Tensor
+from .training import TrainStep, register_train_step
 
 __all__ = [
     "SequenceEncoder",
@@ -450,3 +452,49 @@ def _compile_attention_lstm_encoder(module: AttentionLSTMEncoder, dtype: np.dtyp
         return pool(run(np.asarray(sequence, dtype=dtype)))
 
     return forward
+
+
+# ---------------------------------------------------------------------------
+# Compiled-training rules — the single-layer encoders run their sequence
+# kernels tape-free; stacked, bidirectional and attention encoders have no
+# rule and keep training on the tape.
+# ---------------------------------------------------------------------------
+@register_train_step(GRUEncoder)
+def _train_gru_encoder(module: GRUEncoder, grad_of) -> TrainStep:
+    gru = module.gru
+    weights = gru.cell.weights
+    workspace = ops.Workspace()
+
+    def forward(sequence: np.ndarray):
+        return ops.gru_sequence_forward(
+            sequence, None, *(w.data for w in weights), act=gru.cell.activation_name,
+            return_sequences=gru.return_sequences, workspace=workspace,
+        )
+
+    def backward(grad: np.ndarray, cache) -> None:
+        ops.gru_sequence_backward(
+            grad, cache, input_grad=False, state_grad=False, out=[grad_of(w) for w in weights]
+        )
+
+    return TrainStep(forward, backward)
+
+
+@register_train_step(LSTMEncoder)
+def _train_lstm_encoder(module: LSTMEncoder, grad_of) -> TrainStep:
+    lstm = module.lstm
+    weights = lstm.cell.weights
+    workspace = ops.Workspace()
+
+    def forward(sequence: np.ndarray):
+        out, _, cache = ops.lstm_sequence_forward(
+            sequence, None, None, *(w.data for w in weights),
+            return_sequences=lstm.return_sequences, workspace=workspace,
+        )
+        return out, cache
+
+    def backward(grad: np.ndarray, cache) -> None:
+        ops.lstm_sequence_backward(
+            grad, cache, input_grad=False, state_grad=False, out=[grad_of(w) for w in weights]
+        )
+
+    return TrainStep(forward, backward)

@@ -56,27 +56,36 @@ class GRUCell(Module):
         self.b_r = Parameter(initializers.zeros((hidden_size,)), name="b_r")
         self.b_h = Parameter(initializers.zeros((hidden_size,)), name="b_h")
 
-    def forward(self, y_t: Tensor, h_prev: Tensor) -> Tensor:
-        y_t = y_t if isinstance(y_t, Tensor) else Tensor(y_t)
-        h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
-        h, cache = ops.gru_step_forward(
-            y_t.data, h_prev.data,
-            self.w_z.data, self.u_z.data, self.b_z.data,
-            self.w_r.data, self.u_r.data, self.b_r.data,
-            self.w_h.data, self.u_h.data, self.b_h.data,
-            act=self.activation_name,
-        )
-        parents = (
-            y_t, h_prev,
+    @property
+    def weights(self) -> tuple[Parameter, ...]:
+        """The nine parameters in kernel order: ``(w_z, u_z, b_z, w_r, ..., b_h)``."""
+        return (
             self.w_z, self.u_z, self.b_z,
             self.w_r, self.u_r, self.b_r,
             self.w_h, self.u_h, self.b_h,
         )
-        return apply_op(parents, h, lambda grad: ops.gru_step_backward(grad, cache))
+
+    def forward(self, y_t: Tensor, h_prev: Tensor) -> Tensor:
+        """One step: the sequence kernel over a single timestep from ``h_prev``."""
+        y_t = y_t if isinstance(y_t, Tensor) else Tensor(y_t)
+        h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
+        weights = self.weights
+        h, cache = ops.gru_sequence_forward(
+            y_t.data[:, None, :], h_prev.data, *(w.data for w in weights),
+            act=self.activation_name,
+        )
+
+        def backward(grad: np.ndarray):
+            d_seq, d_h0, *d_weights = ops.gru_sequence_backward(
+                grad, cache, input_grad=y_t.requires_grad, state_grad=h_prev.requires_grad
+            )
+            return (None if d_seq is None else d_seq[:, 0, :], d_h0, *d_weights)
+
+        return apply_op((y_t, h_prev, *weights), h, backward)
 
 
 class GRU(Module):
-    """Runs a :class:`GRUCell` over a ``(batch, timesteps, input_size)`` input.
+    """Runs the GRU of :class:`GRUCell`'s weights over ``(batch, timesteps, input_size)``.
 
     Returns the final hidden state ``v_ts`` of shape ``(batch, hidden_size)``
     (or the full hidden sequence if ``return_sequences`` is set).
@@ -96,16 +105,22 @@ class GRU(Module):
         self.return_sequences = return_sequences
 
     def forward(self, sequence: Tensor) -> Tensor:
+        """The whole sequence as one tape node (:func:`ops.gru_sequence_forward`)."""
+        sequence = sequence if isinstance(sequence, Tensor) else Tensor(sequence)
         if sequence.ndim != 3:
             raise ValueError(f"GRU expects (batch, timesteps, input_size); got shape {sequence.shape}")
-        batch, timesteps, _ = sequence.shape
-        h_t = Tensor(np.zeros((batch, self.hidden_size)))
-        states: list[Tensor] = []
-        for t in range(timesteps):
-            y_t = sequence[:, t, :]
-            h_t = self.cell(y_t, h_t)
-            if self.return_sequences:
-                states.append(h_t)
-        if self.return_sequences:
-            return Tensor.stack(states, axis=1)
-        return h_t
+        weights = self.cell.weights
+        out, cache = ops.gru_sequence_forward(
+            sequence.data, None, *(w.data for w in weights),
+            act=self.cell.activation_name, return_sequences=self.return_sequences,
+        )
+        if sequence.shape[1] == 0:
+            return Tensor(out)  # nothing ran: the zero state, off the tape
+
+        def backward(grad: np.ndarray):
+            d_seq, _, *d_weights = ops.gru_sequence_backward(
+                grad, cache, input_grad=sequence.requires_grad, state_grad=False
+            )
+            return (d_seq, *d_weights)
+
+        return apply_op((sequence, *weights), out, backward)

@@ -129,12 +129,7 @@ def compile_recurrent(module: GRU | LSTM, dtype: np.dtype) -> Callable[[np.ndarr
     """Compile a GRU/LSTM layer into a fused tape-free sequence runner."""
     if isinstance(module, GRU):
         cell = module.cell
-        fused = ops.fuse_gru_weights(
-            cell.w_z.data, cell.u_z.data, cell.b_z.data,
-            cell.w_r.data, cell.u_r.data, cell.b_r.data,
-            cell.w_h.data, cell.u_h.data, cell.b_h.data,
-            dtype=dtype,
-        )
+        fused = ops.fuse_gru_weights(*(w.data for w in cell.weights), dtype=dtype)
         act = cell.activation_name
         return_sequences = module.return_sequences
 
@@ -143,14 +138,7 @@ def compile_recurrent(module: GRU | LSTM, dtype: np.dtype) -> Callable[[np.ndarr
 
         return run_gru
     if isinstance(module, LSTM):
-        cell = module.cell
-        fused = ops.fuse_lstm_weights(
-            cell.w_i.data, cell.u_i.data, cell.b_i.data,
-            cell.w_f.data, cell.u_f.data, cell.b_f.data,
-            cell.w_o.data, cell.u_o.data, cell.b_o.data,
-            cell.w_g.data, cell.u_g.data, cell.b_g.data,
-            dtype=dtype,
-        )
+        fused = ops.fuse_lstm_weights(*(w.data for w in module.cell.weights), dtype=dtype)
         return_sequences = module.return_sequences
 
         def run_lstm(sequence: np.ndarray) -> np.ndarray:

@@ -230,14 +230,18 @@ class Embedding(Module):
             initializers.embedding_uniform((num_embeddings, embedding_dim), rng), name="weight"
         )
 
-    def forward(self, ids: np.ndarray) -> Tensor:
+    def check_ids(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` as int64, or ``IndexError`` if any lies outside the table."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
-        out, cache = ops.embedding_forward(self.weight.data, ids)
+        return ids
+
+    def forward(self, ids: np.ndarray) -> Tensor:
+        out, cache = ops.embedding_forward(self.weight.data, self.check_ids(ids))
         return apply_op((self.weight,), out, lambda grad: ops.embedding_backward(grad, cache))
 
 

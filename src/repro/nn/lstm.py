@@ -57,41 +57,40 @@ class LSTMCell(Module):
             bias = np.ones(hidden_size) if gate == "f" else np.zeros(hidden_size)
             setattr(self, f"b_{gate}", Parameter(bias, name=f"b_{gate}"))
 
+    @property
+    def weights(self) -> tuple[Parameter, ...]:
+        """The twelve parameters in kernel order: ``(w_i, u_i, b_i, w_f, ..., b_g)``."""
+        return tuple(
+            getattr(self, f"{kind}_{gate}") for gate in "ifog" for kind in ("w", "u", "b")
+        )
+
     def forward(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+        """One step: the sequence kernel over a single timestep from ``(h_prev, c_prev)``."""
         x_t = x_t if isinstance(x_t, Tensor) else Tensor(x_t)
         h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
         c_prev = c_prev if isinstance(c_prev, Tensor) else Tensor(c_prev)
-        h_data, c_data, cache = ops.lstm_step_forward(
-            x_t.data, h_prev.data, c_prev.data,
-            self.w_i.data, self.u_i.data, self.b_i.data,
-            self.w_f.data, self.u_f.data, self.b_f.data,
-            self.w_o.data, self.u_o.data, self.b_o.data,
-            self.w_g.data, self.u_g.data, self.b_g.data,
+        weights = self.weights
+        h_data, c_data, cache = ops.lstm_sequence_forward(
+            x_t.data[:, None, :], h_prev.data, c_prev.data, *(w.data for w in weights)
         )
-        # Two tape nodes share one kernel cache: the cell state depends on
-        # the i/f/g gates, the hidden state on the output gate and c_t.
-        # Gradients flowing into c_t from *both* the next timestep and h_t
-        # accumulate on the c_t node before its backward runs.
-        c_t = apply_op(
-            (
-                x_t, h_prev, c_prev,
-                self.w_i, self.u_i, self.b_i,
-                self.w_f, self.u_f, self.b_f,
-                self.w_g, self.u_g, self.b_g,
-            ),
-            c_data,
-            lambda grad: ops.lstm_step_backward_c(grad, cache),
+
+        def backward(grad: np.ndarray):
+            d_seq, d_h0, d_c0, *d_weights = ops.lstm_sequence_backward(
+                grad[0], cache, grad_c=grad[1], input_grad=x_t.requires_grad,
+                state_grad=h_prev.requires_grad or c_prev.requires_grad,
+            )
+            return (None if d_seq is None else d_seq[:, 0, :], d_h0, d_c0, *d_weights)
+
+        # One node carries both outputs stacked; indexing splits them, and
+        # gradients reaching either half meet on the node before it runs.
+        both = apply_op(
+            (x_t, h_prev, c_prev, *weights), np.stack([h_data, c_data]), backward
         )
-        h_t = apply_op(
-            (x_t, h_prev, c_t, self.w_o, self.u_o, self.b_o),
-            h_data,
-            lambda grad: ops.lstm_step_backward_h(grad, cache),
-        )
-        return h_t, c_t
+        return both[0], both[1]
 
 
 class LSTM(Module):
-    """Runs an :class:`LSTMCell` over ``(batch, timesteps, input_size)``.
+    """Runs the LSTM of :class:`LSTMCell`'s weights over ``(batch, timesteps, input_size)``.
 
     Mirrors :class:`repro.nn.gru.GRU`'s interface so the two units are
     drop-in interchangeable inside the Env2Vec backbone.
@@ -110,16 +109,22 @@ class LSTM(Module):
         self.return_sequences = return_sequences
 
     def forward(self, sequence: Tensor) -> Tensor:
+        """The whole sequence as one tape node (:func:`ops.lstm_sequence_forward`)."""
+        sequence = sequence if isinstance(sequence, Tensor) else Tensor(sequence)
         if sequence.ndim != 3:
             raise ValueError(f"LSTM expects (batch, timesteps, input_size); got shape {sequence.shape}")
-        batch, timesteps, _ = sequence.shape
-        h_t = Tensor(np.zeros((batch, self.hidden_size)))
-        c_t = Tensor(np.zeros((batch, self.hidden_size)))
-        states: list[Tensor] = []
-        for t in range(timesteps):
-            h_t, c_t = self.cell(sequence[:, t, :], h_t, c_t)
-            if self.return_sequences:
-                states.append(h_t)
-        if self.return_sequences:
-            return Tensor.stack(states, axis=1)
-        return h_t
+        weights = self.cell.weights
+        out, _, cache = ops.lstm_sequence_forward(
+            sequence.data, None, None, *(w.data for w in weights),
+            return_sequences=self.return_sequences,
+        )
+        if sequence.shape[1] == 0:
+            return Tensor(out)  # nothing ran: the zero state, off the tape
+
+        def backward(grad: np.ndarray):
+            d_seq, _, _, *d_weights = ops.lstm_sequence_backward(
+                grad, cache, input_grad=sequence.requires_grad, state_grad=False
+            )
+            return (d_seq, *d_weights)
+
+        return apply_op((sequence, *weights), out, backward)

@@ -1,45 +1,52 @@
-"""Functional numpy kernels shared by the autograd layers and the inference engine.
+"""Functional numpy kernels shared by the autograd layers, the compiled
+training step and the inference engine.
 
 This module is the *ops core* of the ``repro.nn`` stack: every forward
 kernel is pure numpy — no :class:`~repro.nn.tensor.Tensor`, no tape — and
 returns ``(output, cache)`` where ``cache`` holds exactly the intermediates
-its matching ``*_backward`` kernel needs. Two consumers sit on top:
+its matching ``*_backward`` kernel needs. Three consumers sit on top:
 
 - the layer classes (:mod:`repro.nn.layers`, :mod:`repro.nn.gru`,
   :mod:`repro.nn.lstm`, :mod:`repro.nn.attention`) call a forward kernel
   once and register the matching backward kernel as a single tape node via
   :func:`repro.nn.tensor.apply_op` — differentiable training math;
+- compiled training steps (:func:`repro.nn.training.register_train_step`)
+  call the same forward/backward pairs with no tape, drawing their arrays
+  from a reusable :class:`Workspace` — the same bits, fewer allocations;
 - the tape-free engine (:mod:`repro.nn.inference`) calls the forward
   kernels (and the fused sequence runners at the bottom of this module)
   directly and throws the caches away — lean serving math.
 
-Keeping both paths on one set of kernels is what makes the engine's
-``assert_close`` parity guarantee cheap to maintain: there is one
-implementation of the math, exercised by the finite-difference gradient
-checks in ``tests/nn/``.
+Keeping every path on one set of kernels is what makes the training
+step's bitwise contract and the engine's ``assert_close`` parity
+guarantee cheap to maintain: there is one implementation of the math,
+exercised by the finite-difference gradient checks in ``tests/nn/``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
 
 __all__ = [
-    "activation",
+    "Workspace",
+    "activation_into",
     "activation_inplace",
-    "activation_delta",
+    "activation_delta_into",
     "dense_forward",
     "dense_backward",
     "embedding_forward",
     "embedding_backward",
     "dropout_forward",
     "dropout_backward",
-    "gru_step_forward",
-    "gru_step_backward",
-    "lstm_step_forward",
-    "lstm_step_backward_h",
-    "lstm_step_backward_c",
+    "mse_forward_backward",
+    "segment_sum",
+    "gru_sequence_forward",
+    "gru_sequence_backward",
+    "lstm_sequence_forward",
+    "lstm_sequence_backward",
     "attention_forward",
     "attention_pool",
     "attention_backward",
@@ -80,9 +87,17 @@ if _expit is not None:
         """
         return _expit(x, x)
 
+    def _sigmoid64_into(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """``dst = sigmoid(src)`` for float64, same ufunc as :func:`_sigmoid`."""
+        return _expit(src, dst)
+
 else:  # pragma: no cover - scipy is a declared dependency
     def _sigmoid64_inplace(x: np.ndarray) -> np.ndarray:
         return _sigmoid_inplace(x)
+
+    def _sigmoid64_into(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        np.copyto(dst, src)
+        return _sigmoid_inplace(dst)
 
 
 def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
@@ -108,16 +123,49 @@ def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(x, out=x)
 
 
-def activation(name: str, pre: np.ndarray) -> np.ndarray:
-    """Apply a named activation to pre-activation values."""
-    if name == "linear":
-        return pre
+def activation_into(name: str, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """``dst = act(src)`` for a named activation, leaving ``src`` intact.
+
+    The training kernels keep each pre-activation for the backward pass,
+    so the activation goes to a second array; float64 sigmoid is scipy's
+    ``expit`` ufunc (the bits the compiled inference engine reproduces).
+    """
     if name == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(src, 0.0, out=dst)
     if name == "sigmoid":
-        return _sigmoid(pre)
+        return _sigmoid64_into(src, dst)
     if name == "tanh":
-        return np.tanh(pre)
+        return np.tanh(src, out=dst)
+    if name == "linear":
+        np.copyto(dst, src)
+        return dst
+    raise ValueError(f"unknown activation {name!r}; choose from {ACTIVATION_NAMES}")
+
+
+def activation_delta_into(
+    name: str, grad: np.ndarray, pre: np.ndarray, out: np.ndarray,
+    dst: np.ndarray, scratch: np.ndarray, mask: np.ndarray,
+) -> np.ndarray:
+    """Gradient w.r.t. ``pre`` given the gradient w.r.t. ``out = act(pre)``.
+
+    Written into ``dst`` (``scratch`` and the boolean ``mask`` are work
+    space); ``linear`` returns ``grad`` itself. Each formula is evaluated
+    left to right: ``grad * (pre > 0)``, ``grad * out * (1 - out)``,
+    ``grad * (1 - out * out)``.
+    """
+    if name == "relu":
+        return np.multiply(grad, np.greater(pre, 0, out=mask), out=dst)
+    if name == "sigmoid":
+        np.multiply(grad, out, out=dst)
+        np.subtract(1.0, out, out=scratch)
+        dst *= scratch
+        return dst
+    if name == "tanh":
+        np.multiply(out, out, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        return np.multiply(grad, scratch, out=dst)
+    if name == "linear":
+        return grad
     raise ValueError(f"unknown activation {name!r}; choose from {ACTIVATION_NAMES}")
 
 
@@ -125,10 +173,10 @@ def activation_inplace(name: str, x: np.ndarray) -> np.ndarray:
     """Apply a named activation *in place* (inference paths only).
 
     The autograd kernels must keep their pre-activation arrays intact for
-    the backward pass, so they use :func:`activation`; the compiled
+    the backward pass, so they use :func:`activation_into`; the compiled
     engine's buffers are throwaway, so it overwrites them instead of
     allocating. Elementwise results are bitwise identical to
-    :func:`activation` for float64 (sigmoid routes through the same
+    :func:`activation_into` for float64 (sigmoid routes through the same
     ``expit`` ufunc); float32 sigmoid takes the fast composed-``exp``
     path covered by the float32 parity bound.
     """
@@ -192,38 +240,83 @@ def _activation_into(name: str, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}; choose from {ACTIVATION_NAMES}")
 
 
-def activation_delta(name: str, grad: np.ndarray, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. ``pre`` given the gradient w.r.t. ``out``."""
-    if name == "linear":
-        return grad
-    if name == "relu":
-        return grad * (pre > 0)
-    if name == "sigmoid":
-        return grad * out * (1.0 - out)
-    if name == "tanh":
-        return grad * (1.0 - out * out)
-    raise ValueError(f"unknown activation {name!r}; choose from {ACTIVATION_NAMES}")
+# ---------------------------------------------------------------------------
+# Reusable training workspaces
+# ---------------------------------------------------------------------------
+class Workspace:
+    """Scratch and cache arrays a caller reuses from one call to the next.
+
+    A training step allocates several megabytes of activations, caches and
+    gradient temporaries per batch; fresh arrays each step make the heap
+    grow and shrink every batch, and the page faults cost as much as a
+    third of the step. A kernel given a workspace takes every array it
+    would allocate from it instead, keyed by ``(name, shape, dtype)``, so a
+    fit's steady state reuses one set per batch shape (a ragged last batch
+    adds a second). Whatever a kernel returns then lives in the workspace
+    until the same kernel runs again with it: one workspace per call site,
+    and no result kept across calls. :meth:`child` hands out a named
+    sub-workspace for each layer of a model.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[tuple, np.ndarray] = {}
+        self._children: dict[str, "Workspace"] = {}
+
+    def empty(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        key = (name, shape, dtype)
+        array = self._arrays.get(key)
+        if array is None:
+            array = self._arrays[key] = np.empty(shape, dtype=dtype)
+        return array
+
+    def child(self, name: str) -> "Workspace":
+        child = self._children.get(name)
+        if child is None:
+            child = self._children[name] = Workspace()
+        return child
+
+
+def _allocator(workspace: Workspace | None):
+    """``empty(name, shape, dtype)``: from ``workspace``, else a fresh array."""
+    if workspace is not None:
+        return workspace.empty
+    return lambda name, shape, dtype=np.float64: np.empty(shape, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
 # Dense
 # ---------------------------------------------------------------------------
 def dense_forward(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, act: str = "linear"
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray,
+    act: str = "linear",
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, dict]:
     """``activation(x @ weight + bias)`` for 1-d or 2-d ``x``."""
-    pre = x @ weight + bias
-    out = activation(act, pre)
-    return out, {"x": x, "weight": weight, "pre": pre, "out": out, "act": act}
+    empty = _allocator(workspace)
+    pre = np.matmul(x, weight, out=empty("pre", x.shape[:-1] + weight.shape[1:]))
+    pre += bias
+    out = pre if act == "linear" else activation_into(act, pre, empty("out", pre.shape))
+    cache = {"x": x, "weight": weight, "pre": pre, "out": out, "act": act, "workspace": workspace}
+    return out, cache
 
 
-def dense_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns ``(d_x, d_weight, d_bias)``."""
+def dense_backward(
+    grad: np.ndarray, cache: dict, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Returns ``(d_x, d_weight, d_bias)``; ``d_x`` is ``None`` without ``input_grad``."""
     x, weight = cache["x"], cache["weight"]
-    delta = activation_delta(cache["act"], grad, cache["pre"], cache["out"])
+    empty = _allocator(cache["workspace"])
+    delta = activation_delta_into(
+        cache["act"], grad, cache["pre"], cache["out"], empty("delta", grad.shape),
+        empty("scratch", grad.shape), empty("mask", grad.shape, np.bool_),
+    )
+    d_x = np.matmul(delta, weight.T, out=empty("d_x", x.shape)) if input_grad else None
     if x.ndim == 1:
-        return delta @ weight.T, np.outer(x, delta), delta
-    return delta @ weight.T, x.T @ delta, delta.sum(axis=0)
+        return d_x, np.outer(x, delta), delta
+    d_weight = np.matmul(x.T, delta, out=empty("d_weight", weight.shape))
+    return d_x, d_weight, np.add.reduce(delta, axis=0, out=empty("d_bias", weight.shape[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,164 +328,438 @@ def embedding_forward(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, d
     return table[ids], {"shape": table.shape, "ids": ids}
 
 
+def segment_sum(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """``out[k] = sum(values[i] for i where ids[i] == k)``, in row order.
+
+    The embedding gradient's scatter-add, as one ``np.bincount`` over
+    flattened ``(row, column)`` bins instead of ``np.add.at``'s per-index
+    loop. Each bin starts from ``0.0`` and adds its rows in the order they
+    appear, exactly as ``np.add.at`` into a zero table does, so the two
+    agree bitwise (``-0.0`` rows included: ``0.0 + -0.0`` is ``0.0`` in
+    both). ``ids`` must lie in ``[0, num_segments)``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    width = math.prod(values.shape[1:])
+    bins = np.asarray(ids, dtype=np.int64)[:, None] * width + np.arange(width)
+    out = np.bincount(bins.ravel(), weights=values.ravel(), minlength=num_segments * width)
+    return out.reshape((num_segments,) + values.shape[1:])
+
+
 def embedding_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray]:
     """Scatter-add the output gradient back into a dense table gradient."""
-    full = np.zeros(cache["shape"], dtype=np.float64)
-    np.add.at(full, cache["ids"], grad)
-    return (full,)
+    return (segment_sum(grad, cache["ids"], cache["shape"][0]),)
 
 
 # ---------------------------------------------------------------------------
 # Dropout
 # ---------------------------------------------------------------------------
 def dropout_forward(
-    x: np.ndarray, rate: float, rng: np.random.Generator
+    x: np.ndarray, rate: float, rng: np.random.Generator, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, dict]:
     """Inverted dropout; the inference engine simply never calls this."""
     if not 0.0 < rate < 1.0:
         raise ValueError("dropout rate must be in (0, 1)")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask, {"mask": mask}
+    empty = _allocator(workspace)
+    draws = rng.random(x.shape, out=empty("draws", x.shape))
+    keep = np.greater_equal(draws, rate, out=empty("keep", x.shape, np.bool_))
+    mask = np.divide(keep, 1.0 - rate, out=draws)  # 0 or 1 / (1 - rate)
+    out = np.multiply(x, mask, out=empty("out", x.shape))
+    return out, {"mask": mask, "workspace": workspace}
 
 
 def dropout_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray]:
-    return (grad * cache["mask"],)
+    empty = _allocator(cache["workspace"])
+    return (np.multiply(grad, cache["mask"], out=empty("d_x", grad.shape)),)
 
 
 # ---------------------------------------------------------------------------
-# GRU step (Appendix A equations)
+# Mean squared error
 # ---------------------------------------------------------------------------
-def gru_step_forward(
-    y: np.ndarray,
-    h_prev: np.ndarray,
-    w_z: np.ndarray,
-    u_z: np.ndarray,
-    b_z: np.ndarray,
-    w_r: np.ndarray,
-    u_r: np.ndarray,
-    b_r: np.ndarray,
-    w_h: np.ndarray,
-    u_h: np.ndarray,
-    b_h: np.ndarray,
+def mse_forward_backward(predicted: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(mean((p - t)^2), d loss / d p)`` with :func:`repro.nn.mse_loss`'s bits.
+
+    The autograd loss is ``sum(d * d) * (1/n)``; its backward hands each
+    factor of ``d * d`` the gradient ``(1/n) * d`` and sums the two, so the
+    prediction gradient is ``k * d + k * d`` rather than ``2 * k * d``.
+    """
+    diff = predicted - target
+    scale = 1.0 / diff.size
+    half = scale * diff
+    return float((diff * diff).sum() * scale), half + half
+
+
+# ---------------------------------------------------------------------------
+# Recurrent training kernels: whole-sequence forward + reverse-time BPTT
+# ---------------------------------------------------------------------------
+# One call runs a GRU/LSTM layer over every timestep and keeps each gate's
+# activations in a ``(timesteps, batch, hidden)`` cache, so the tape records
+# one node per layer and the compiled training step (``repro.nn.training``)
+# calls the very same pair. Per timestep the scalar operation order is the
+# Appendix A formula read left to right, and every parameter's per-timestep
+# gradients are summed from ``t = T-1`` down to ``0`` — the order a tape of
+# per-timestep nodes accumulates them in — so float64 results do not depend
+# on which caller runs the math. Caches and scratch come from the caller's
+# :class:`Workspace` when one is given (a compiled training step reuses its
+# own from batch to batch), else they are allocated per call — never from
+# the per-thread runner scratch, since two layers of one shape may both be
+# mid-flight before either backward runs. Either way they are taken before
+# the timestep loop, which only writes into them via ``out=``.
+def _project_inputs(sequence: np.ndarray, pairs) -> None:
+    """``out[t] = sequence[:, t, :] @ w`` for every ``(w, out)`` pair and timestep.
+
+    With one input feature (the RU-history window) each product is a
+    single multiply, so one broadcast multiply per gate covers every
+    timestep — the K=1 matmul's value, without a BLAS call per step.
+    """
+    if sequence.shape[2] == 1:
+        by_time = sequence.transpose(1, 0, 2)
+        for w, out in pairs:
+            np.multiply(by_time, w, out=out)
+        return
+    for t in range(sequence.shape[1]):
+        for w, out in pairs:
+            np.matmul(sequence[:, t, :], w, out=out[t])
+
+
+def _add_recurrent(out: np.ndarray, h: np.ndarray, u, b, scratch: np.ndarray) -> np.ndarray:
+    """``out = out + h @ u + b`` with ``out`` holding the input projection."""
+    np.matmul(h, u, out=scratch)
+    out += scratch
+    out += b
+    return out
+
+
+def _sigmoid_delta(d: np.ndarray, s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``d = d * s * (1 - s)`` in place: back through a sigmoid gate."""
+    d *= s
+    np.subtract(1.0, s, out=scratch)
+    d *= scratch
+    return d
+
+
+def _sum_matmul(a, b, acc: np.ndarray, scratch: np.ndarray, first: bool) -> None:
+    """``acc (+)= a @ b``: the first timestep visited writes, later ones add."""
+    if first:
+        np.matmul(a, b, out=acc)
+    else:
+        np.matmul(a, b, out=scratch)
+        acc += scratch
+
+
+def _sum_rows(d: np.ndarray, acc: np.ndarray, scratch: np.ndarray, first: bool) -> None:
+    """``acc (+)= d.sum(axis=0)``, first-writes like :func:`_sum_matmul`."""
+    if first:
+        np.add.reduce(d, axis=0, out=acc)
+    else:
+        np.add.reduce(d, axis=0, out=scratch)
+        acc += scratch
+
+
+def _sum_gate(x, h_prev, d, acc: list, part: list, first: bool) -> None:
+    """Accumulate one gate's ``(W, U, b)`` gradients for one timestep."""
+    _sum_matmul(x.T, d, acc[0], part[0], first)
+    _sum_matmul(h_prev.T, d, acc[1], part[1], first)
+    _sum_rows(d, acc[2], part[2], first)
+
+
+def _gate_grad_buffers(weights: tuple, out, empty) -> tuple[list, list]:
+    """Per-parameter gradient accumulators (``out`` if given) plus scratch."""
+    shapes = [w.shape for w in weights]
+    acc = [empty(f"acc{k}", shape) for k, shape in enumerate(shapes)] if out is None else list(out)
+    return acc, [empty(f"part{k}", shape) for k, shape in enumerate(shapes)]
+
+
+def gru_sequence_forward(
+    sequence: np.ndarray,
+    h0: np.ndarray | None,
+    w_z: np.ndarray, u_z: np.ndarray, b_z: np.ndarray,
+    w_r: np.ndarray, u_r: np.ndarray, b_r: np.ndarray,
+    w_h: np.ndarray, u_h: np.ndarray, b_h: np.ndarray,
     act: str = "relu",
+    return_sequences: bool = False,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """One GRU timestep on ``(batch, input)`` / ``(batch, hidden)`` arrays."""
-    z = _sigmoid(y @ w_z + h_prev @ u_z + b_z)
-    r = _sigmoid(y @ w_r + h_prev @ u_r + b_r)
-    hu = h_prev @ u_h
-    pre = y @ w_h + r * hu + b_h
-    cand = activation(act, pre)
-    h = (1.0 - z) * cand + z * h_prev
+    """Run the Appendix A GRU over ``(batch, timesteps, input)``, caching for BPTT.
+
+    Per timestep ``z = sigmoid(y W_z + h U_z + b_z)``, ``r`` likewise,
+    ``h' = act(y W_h + r ⊙ (h U_h) + b_h)`` and
+    ``h = (1 - z) ⊙ h' + z ⊙ h``. ``h0=None`` starts from the zero state.
+    Returns the last state, or the ``(batch, timesteps, hidden)`` states
+    under ``return_sequences``; zero timesteps return the initial state
+    (or an empty sequence).
+    """
+    _resolve_act(act)
+    batch, timesteps, _ = sequence.shape
+    hidden = u_h.shape[0]
+    empty = _allocator(workspace)
+    states = empty("states", (timesteps + 1, batch, hidden))
+    states[0] = 0.0 if h0 is None else h0
+    z, r, hu, pre, cand = (
+        empty(name, (timesteps, batch, hidden)) for name in ("z", "r", "hu", "pre", "cand")
+    )
+    tmp = empty("tmp", (batch, hidden))
+    _project_inputs(sequence, ((w_z, z), (w_r, r), (w_h, pre)))
+    for t in range(timesteps):
+        h, h_next = states[t], states[t + 1]
+        _sigmoid64_inplace(_add_recurrent(z[t], h, u_z, b_z, tmp))
+        _sigmoid64_inplace(_add_recurrent(r[t], h, u_r, b_r, tmp))
+        np.matmul(h, u_h, out=hu[t])
+        # h' = act(y @ w_h + r * hu + b_h)
+        np.multiply(r[t], hu[t], out=tmp)
+        pre[t] += tmp
+        pre[t] += b_h
+        activation_into(act, pre[t], cand[t])
+        # h = (1 - z) * h' + z * h
+        np.subtract(1.0, z[t], out=h_next)
+        h_next *= cand[t]
+        np.multiply(z[t], h, out=tmp)
+        h_next += tmp
+    if return_sequences:
+        out = np.ascontiguousarray(states[1:].transpose(1, 0, 2))
+    else:
+        out = states[timesteps]
     cache = {
-        "y": y, "h_prev": h_prev, "z": z, "r": r, "hu": hu,
-        "pre": pre, "cand": cand, "act": act,
-        "w_z": w_z, "u_z": u_z, "w_r": w_r, "u_r": u_r, "w_h": w_h, "u_h": u_h,
+        "sequence": sequence, "states": states, "z": z, "r": r, "hu": hu,
+        "pre": pre, "cand": cand, "act": act, "return_sequences": return_sequences,
+        "weights": (w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h), "workspace": workspace,
     }
-    return h, cache
+    return out, cache
 
 
-def gru_step_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray, ...]:
-    """Gradients aligned with ``(y, h_prev, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)``."""
-    y, h_prev = cache["y"], cache["h_prev"]
-    z, r, hu, cand = cache["z"], cache["r"], cache["hu"], cache["cand"]
+def gru_sequence_backward(
+    grad: np.ndarray,
+    cache: dict,
+    input_grad: bool = True,
+    state_grad: bool = True,
+    out: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray | None, ...]:
+    """Reverse-time BPTT for :func:`gru_sequence_forward`.
 
-    d_z = grad * (h_prev - cand)
-    d_cand = grad * (1.0 - z)
-    d_h_prev = grad * z
+    Returns gradients aligned with ``(sequence, h0, w_z, u_z, b_z, w_r,
+    u_r, b_r, w_h, u_h, b_h)``; the sequence and initial-state entries are
+    ``None`` unless ``input_grad`` / ``state_grad`` ask for them. ``out``
+    optionally supplies the nine parameter-gradient arrays to overwrite.
+    """
+    sequence, states = cache["sequence"], cache["states"]
+    z, r, hu, pre, cand = cache["z"], cache["r"], cache["hu"], cache["pre"], cache["cand"]
+    act, return_sequences = cache["act"], cache["return_sequences"]
+    w_z, u_z, _, w_r, u_r, _, w_h, u_h, _ = weights = cache["weights"]
+    batch, timesteps, input_size = sequence.shape
+    hidden = u_h.shape[0]
+    empty = _allocator(cache["workspace"])
+    acc, part = _gate_grad_buffers(weights, out, empty)
+    d_seq = np.zeros(sequence.shape) if input_grad else None
+    d_h0 = None
+    if timesteps == 0:
+        for array in acc:
+            array[...] = 0.0
+        if state_grad:
+            d_h0 = np.zeros((batch, hidden)) if return_sequences else grad.copy()
+        return (d_seq, d_h0, *acc)
+    d_z, d_r, d_cand, d_pre, d_hu, scratch, g_seq, ping, pong = (
+        empty(name, (batch, hidden))
+        for name in ("d_z", "d_r", "d_cand", "d_pre", "d_hu", "scratch", "g_seq", "ping", "pong")
+    )
+    mask = empty("mask", (batch, hidden), np.bool_)
+    d_y, y_part = empty("d_y", (batch, input_size)), empty("y_part", (batch, input_size))
+    g = grad[:, timesteps - 1, :] if return_sequences else grad  # dL/dh_t
+    for t in range(timesteps - 1, -1, -1):
+        y, h_prev = sequence[:, t, :], states[t]
+        first = t == timesteps - 1
+        np.subtract(h_prev, cand[t], out=d_z)  # d_z = g * (h_prev - h')
+        d_z *= g
+        np.subtract(1.0, z[t], out=d_cand)  # d_h' = g * (1 - z)
+        d_cand *= g
+        delta = activation_delta_into(act, d_cand, pre[t], cand[t], d_pre, scratch, mask)
+        np.multiply(delta, hu[t], out=d_r)
+        np.multiply(delta, r[t], out=d_hu)
+        _sigmoid_delta(d_z, z[t], scratch)
+        _sigmoid_delta(d_r, r[t], scratch)
+        _sum_gate(y, h_prev, d_z, acc[0:3], part[0:3], first)
+        _sum_gate(y, h_prev, d_r, acc[3:6], part[3:6], first)
+        _sum_matmul(y.T, delta, acc[6], part[6], first)
+        _sum_matmul(h_prev.T, d_hu, acc[7], part[7], first)
+        _sum_rows(delta, acc[8], part[8], first)
+        if input_grad:
+            # d_y = delta @ w_h.T + d_z @ w_z.T + d_r @ w_r.T
+            np.matmul(delta, w_h.T, out=d_y)
+            np.matmul(d_z, w_z.T, out=y_part)
+            d_y += y_part
+            np.matmul(d_r, w_r.T, out=y_part)
+            d_y += y_part
+            d_seq[:, t, :] += d_y
+        if t == 0 and not state_grad:
+            break
+        # d_h_prev = g * z + d_hu @ u_h.T + d_z @ u_z.T + d_r @ u_r.T
+        g_next = pong if t % 2 else ping
+        np.multiply(g, z[t], out=g_next)
+        np.matmul(d_hu, u_h.T, out=scratch)
+        g_next += scratch
+        np.matmul(d_z, u_z.T, out=scratch)
+        g_next += scratch
+        np.matmul(d_r, u_r.T, out=scratch)
+        g_next += scratch
+        if t == 0:
+            d_h0 = g_next
+        elif return_sequences:
+            g = np.add(grad[:, t - 1, :], g_next, out=g_seq)
+        else:
+            g = g_next
+    return (d_seq, d_h0, *acc)
 
-    d_pre = activation_delta(cache["act"], d_cand, cache["pre"], cand)
-    d_w_h = y.T @ d_pre
-    d_b_h = d_pre.sum(axis=0)
-    d_y = d_pre @ cache["w_h"].T
-    d_r = d_pre * hu
-    d_hu = d_pre * r
-    d_u_h = h_prev.T @ d_hu
-    d_h_prev = d_h_prev + d_hu @ cache["u_h"].T
 
-    d_z_pre = d_z * z * (1.0 - z)
-    d_r_pre = d_r * r * (1.0 - r)
-    d_w_z = y.T @ d_z_pre
-    d_u_z = h_prev.T @ d_z_pre
-    d_b_z = d_z_pre.sum(axis=0)
-    d_w_r = y.T @ d_r_pre
-    d_u_r = h_prev.T @ d_r_pre
-    d_b_r = d_r_pre.sum(axis=0)
-    d_y = d_y + d_z_pre @ cache["w_z"].T + d_r_pre @ cache["w_r"].T
-    d_h_prev = d_h_prev + d_z_pre @ cache["u_z"].T + d_r_pre @ cache["u_r"].T
-
-    return (d_y, d_h_prev, d_w_z, d_u_z, d_b_z, d_w_r, d_u_r, d_b_r, d_w_h, d_u_h, d_b_h)
-
-
-# ---------------------------------------------------------------------------
-# LSTM step
-# ---------------------------------------------------------------------------
-def lstm_step_forward(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
+def lstm_sequence_forward(
+    sequence: np.ndarray,
+    h0: np.ndarray | None,
+    c0: np.ndarray | None,
     w_i: np.ndarray, u_i: np.ndarray, b_i: np.ndarray,
     w_f: np.ndarray, u_f: np.ndarray, b_f: np.ndarray,
     w_o: np.ndarray, u_o: np.ndarray, b_o: np.ndarray,
     w_g: np.ndarray, u_g: np.ndarray, b_g: np.ndarray,
+    return_sequences: bool = False,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One LSTM timestep; returns ``(h, c, cache)``.
+    """Run the classic LSTM over ``(batch, timesteps, input)``, caching for BPTT.
 
-    The cell state and hidden state become *two* tape nodes sharing this
-    cache (see :class:`repro.nn.lstm.LSTMCell`), so the backward pass is
-    split into :func:`lstm_step_backward_c` (through ``c``'s gates) and
-    :func:`lstm_step_backward_h` (through the output gate).
+    Per timestep the i/f/o gates are ``sigmoid(x W + h U + b)``, the
+    candidate ``g`` is its ``tanh`` twin, ``c = f ⊙ c + i ⊙ g`` and
+    ``h = o ⊙ tanh(c)``. ``h0``/``c0`` of ``None`` start from zeros.
+    Returns ``(out, c_last, cache)`` where ``out`` is the last hidden state
+    or, under ``return_sequences``, the hidden-state sequence.
     """
-    i = _sigmoid(x @ w_i + h_prev @ u_i + b_i)
-    f = _sigmoid(x @ w_f + h_prev @ u_f + b_f)
-    o = _sigmoid(x @ w_o + h_prev @ u_o + b_o)
-    g = np.tanh(x @ w_g + h_prev @ u_g + b_g)
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
+    batch, timesteps, _ = sequence.shape
+    hidden = u_i.shape[0]
+    empty = _allocator(workspace)
+    states = empty("states", (timesteps + 1, batch, hidden))
+    cells = empty("cells", (timesteps + 1, batch, hidden))
+    states[0] = 0.0 if h0 is None else h0
+    cells[0] = 0.0 if c0 is None else c0
+    i, f, o, g, tc = (
+        empty(name, (timesteps, batch, hidden)) for name in ("i", "f", "o", "g", "tc")
+    )
+    tmp = empty("tmp", (batch, hidden))
+    _project_inputs(sequence, ((w_i, i), (w_f, f), (w_o, o), (w_g, g)))
+    for t in range(timesteps):
+        h = states[t]
+        _sigmoid64_inplace(_add_recurrent(i[t], h, u_i, b_i, tmp))
+        _sigmoid64_inplace(_add_recurrent(f[t], h, u_f, b_f, tmp))
+        _sigmoid64_inplace(_add_recurrent(o[t], h, u_o, b_o, tmp))
+        np.tanh(_add_recurrent(g[t], h, u_g, b_g, tmp), out=g[t])
+        # c = f * c + i * g; h = o * tanh(c)
+        np.multiply(f[t], cells[t], out=cells[t + 1])
+        np.multiply(i[t], g[t], out=tmp)
+        cells[t + 1] += tmp
+        np.tanh(cells[t + 1], out=tc[t])
+        np.multiply(o[t], tc[t], out=states[t + 1])
+    if return_sequences:
+        out = np.ascontiguousarray(states[1:].transpose(1, 0, 2))
+    else:
+        out = states[timesteps]
     cache = {
-        "x": x, "h_prev": h_prev, "c_prev": c_prev,
-        "i": i, "f": f, "o": o, "g": g, "tc": tc,
-        "w_i": w_i, "u_i": u_i, "w_f": w_f, "u_f": u_f,
-        "w_o": w_o, "u_o": u_o, "w_g": w_g, "u_g": u_g,
+        "sequence": sequence, "states": states, "cells": cells,
+        "i": i, "f": f, "o": o, "g": g, "tc": tc, "return_sequences": return_sequences,
+        "weights": (w_i, u_i, b_i, w_f, u_f, b_f, w_o, u_o, b_o, w_g, u_g, b_g),
+        "workspace": workspace,
     }
-    return h, c, cache
+    return out, cells[timesteps], cache
 
 
-def lstm_step_backward_h(grad: np.ndarray, cache: dict) -> tuple[np.ndarray, ...]:
-    """Gradients aligned with ``(x, h_prev, c, w_o, u_o, b_o)`` for ``h = o * tanh(c)``."""
-    x, h_prev, o, tc = cache["x"], cache["h_prev"], cache["o"], cache["tc"]
-    d_o = grad * tc
-    d_c = grad * o * (1.0 - tc * tc)
-    d_o_pre = d_o * o * (1.0 - o)
-    return (
-        d_o_pre @ cache["w_o"].T,
-        d_o_pre @ cache["u_o"].T,
-        d_c,
-        x.T @ d_o_pre,
-        h_prev.T @ d_o_pre,
-        d_o_pre.sum(axis=0),
+def lstm_sequence_backward(
+    grad: np.ndarray,
+    cache: dict,
+    grad_c: np.ndarray | None = None,
+    input_grad: bool = True,
+    state_grad: bool = True,
+    out: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray | None, ...]:
+    """Reverse-time BPTT for :func:`lstm_sequence_forward`.
+
+    ``grad`` is the gradient of the returned hidden output, ``grad_c`` the
+    optional gradient of the last cell state. Returns gradients aligned
+    with ``(sequence, h0, c0, w_i, u_i, b_i, w_f, u_f, b_f, w_o, u_o, b_o,
+    w_g, u_g, b_g)``; the sequence and initial-state entries are ``None``
+    unless ``input_grad`` / ``state_grad`` ask for them; ``out`` optionally
+    supplies the twelve parameter-gradient arrays to overwrite. Per
+    timestep the output gate is back-propagated first, then the cell
+    update — each hidden state's gradient sums the two in that order.
+    """
+    sequence, states, cells = cache["sequence"], cache["states"], cache["cells"]
+    i, f, o, g, tc = cache["i"], cache["f"], cache["o"], cache["g"], cache["tc"]
+    return_sequences = cache["return_sequences"]
+    w_i, u_i, _, w_f, u_f, _, w_o, u_o, _, w_g, u_g, _ = weights = cache["weights"]
+    batch, timesteps, input_size = sequence.shape
+    hidden = u_i.shape[0]
+    empty = _allocator(cache["workspace"])
+    acc, part = _gate_grad_buffers(weights, out, empty)
+    d_seq = np.zeros(sequence.shape) if input_grad else None
+    d_h0 = d_c0 = None
+    if timesteps == 0:
+        for array in acc:
+            array[...] = 0.0
+        if state_grad:
+            d_h0 = np.zeros((batch, hidden)) if return_sequences else grad.copy()
+            d_c0 = np.zeros((batch, hidden)) if grad_c is None else grad_c.copy()
+        return (d_seq, d_h0, d_c0, *acc)
+    d_o, d_c, d_i, d_f, d_g, scratch, from_o, from_c, carry = (
+        empty(name, (batch, hidden))
+        for name in ("d_o", "d_c", "d_i", "d_f", "d_g", "scratch", "from_o", "from_c", "carry")
     )
-
-
-def lstm_step_backward_c(grad: np.ndarray, cache: dict) -> tuple[np.ndarray, ...]:
-    """Gradients for ``c = f * c_prev + i * g`` aligned with
-    ``(x, h_prev, c_prev, w_i, u_i, b_i, w_f, u_f, b_f, w_g, u_g, b_g)``."""
-    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
-    i, f, g = cache["i"], cache["f"], cache["g"]
-
-    d_i_pre = (grad * g) * i * (1.0 - i)
-    d_f_pre = (grad * c_prev) * f * (1.0 - f)
-    d_g_pre = (grad * i) * (1.0 - g * g)
-    d_x = d_i_pre @ cache["w_i"].T + d_f_pre @ cache["w_f"].T + d_g_pre @ cache["w_g"].T
-    d_h_prev = d_i_pre @ cache["u_i"].T + d_f_pre @ cache["u_f"].T + d_g_pre @ cache["u_g"].T
-    return (
-        d_x,
-        d_h_prev,
-        grad * f,
-        x.T @ d_i_pre, h_prev.T @ d_i_pre, d_i_pre.sum(axis=0),
-        x.T @ d_f_pre, h_prev.T @ d_f_pre, d_f_pre.sum(axis=0),
-        x.T @ d_g_pre, h_prev.T @ d_g_pre, d_g_pre.sum(axis=0),
-    )
+    d_x, x_part = empty("d_x", (batch, input_size)), empty("x_part", (batch, input_size))
+    carried = grad_c  # dL/dc_t from later timesteps (or the caller)
+    gh = grad[:, timesteps - 1, :] if return_sequences else grad  # dL/dh_t
+    for t in range(timesteps - 1, -1, -1):
+        x, h_prev, c_prev = sequence[:, t, :], states[t], cells[t]
+        first = t == timesteps - 1
+        # h = o * tanh(c): d_o = gh * tc, d_c = gh * o * (1 - tc * tc)
+        np.multiply(gh, tc[t], out=d_o)
+        np.multiply(gh, o[t], out=d_c)
+        np.multiply(tc[t], tc[t], out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        d_c *= scratch
+        _sigmoid_delta(d_o, o[t], scratch)
+        _sum_gate(x, h_prev, d_o, acc[6:9], part[6:9], first)
+        # c = f * c_prev + i * g, with dL/dc summed over both consumers
+        if carried is not None:
+            d_c += carried
+        np.multiply(d_c, g[t], out=d_i)
+        _sigmoid_delta(d_i, i[t], scratch)
+        np.multiply(d_c, c_prev, out=d_f)
+        _sigmoid_delta(d_f, f[t], scratch)
+        np.multiply(d_c, i[t], out=d_g)
+        np.multiply(g[t], g[t], out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        d_g *= scratch
+        _sum_gate(x, h_prev, d_i, acc[0:3], part[0:3], first)
+        _sum_gate(x, h_prev, d_f, acc[3:6], part[3:6], first)
+        _sum_gate(x, h_prev, d_g, acc[9:12], part[9:12], first)
+        if input_grad:
+            # (d_o @ w_o.T) + (d_i @ w_i.T + d_f @ w_f.T + d_g @ w_g.T)
+            np.matmul(d_i, w_i.T, out=d_x)
+            np.matmul(d_f, w_f.T, out=x_part)
+            d_x += x_part
+            np.matmul(d_g, w_g.T, out=x_part)
+            d_x += x_part
+            np.matmul(d_o, w_o.T, out=x_part)
+            d_x += x_part
+            d_seq[:, t, :] += d_x
+        if t == 0 and not state_grad:
+            break
+        carried = np.multiply(d_c, f[t], out=carry)
+        # dL/dh_prev = (d_o @ u_o.T) + (d_i @ u_i.T + d_f @ u_f.T + d_g @ u_g.T)
+        np.matmul(d_o, u_o.T, out=from_o)
+        np.matmul(d_i, u_i.T, out=from_c)
+        np.matmul(d_f, u_f.T, out=scratch)
+        from_c += scratch
+        np.matmul(d_g, u_g.T, out=scratch)
+        from_c += scratch
+        if t == 0:
+            d_h0, d_c0 = from_o + from_c, carried
+        elif return_sequences:
+            gh = np.add(grad[:, t - 1, :], from_o, out=from_o)
+            gh += from_c
+        else:
+            gh = np.add(from_o, from_c, out=from_o)
+    return (d_seq, d_h0, d_c0, *acc)
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,13 @@ class Optimizer:
         self.lr = lr
         self.weight_decay = weight_decay
 
-    def _apply_weight_decay(self) -> None:
+    def _apply_weight_decay(self, parameters: Iterable[Parameter] | None = None) -> None:
+        """Decay ``parameters`` (default: every parameter holding a gradient)."""
         if self.weight_decay:
-            for parameter in self.parameters:
-                if parameter.grad is not None:
-                    parameter.data -= self.lr * self.weight_decay * parameter.data
+            if parameters is None:
+                parameters = [p for p in self.parameters if p.grad is not None]
+            for parameter in parameters:
+                parameter.data -= self.lr * self.weight_decay * parameter.data
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -96,7 +98,19 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias-corrected first/second moment estimates."""
+    """Adam with bias-corrected first/second moment estimates.
+
+    The moments live in two flat float64 vectors with one contiguous slice
+    per parameter, next to a flat gradient vector of the same layout, so a
+    step is one vectorized pass over all parameters instead of a loop of
+    small per-array updates. Elementwise it is the textbook per-parameter
+    update with the same scalar operation order, so the flat layout changes
+    no bits. :meth:`step` gathers each ``param.grad`` into the gradient
+    vector; a compiled training step writes its gradients straight into
+    :attr:`grad_views` and calls :meth:`step_gathered`. Weights are updated
+    through ``param.data`` on every step, so rebinding a parameter's array
+    (``Module.load_state_dict``) between steps is safe.
+    """
 
     def __init__(
         self,
@@ -114,22 +128,72 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._offsets = [0]
+        for param in self.parameters:
+            self._offsets.append(self._offsets[-1] + param.data.size)
+        total = self._offsets[-1]
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self._grad = np.zeros(total)
+        self._delta = np.empty(total)
+        self._scratch = np.empty(total)
+        spans = list(zip(self.parameters, self._offsets, self._offsets[1:]))
+        self._grad_views = [self._grad[lo:hi].reshape(p.data.shape) for p, lo, hi in spans]
+        self._delta_views = [self._delta[lo:hi].reshape(p.data.shape) for p, lo, hi in spans]
+
+    @property
+    def grad_views(self) -> list[np.ndarray]:
+        """Writable per-parameter views of the flat gradient, aligned with ``parameters``."""
+        return self._grad_views
 
     def step(self) -> None:
-        self._apply_weight_decay()
+        """Update every parameter holding a ``.grad``; the others keep weights and moments."""
+        present = [param.grad is not None for param in self.parameters]
+        for view, param, has_grad in zip(self._grad_views, self.parameters, present):
+            if has_grad:
+                view[...] = param.grad
+        self._update(present)
+
+    def step_gathered(self) -> None:
+        """Update every parameter from gradients already written into :attr:`grad_views`."""
+        self._update([True] * len(self.parameters))
+
+    def _update(self, present: list[bool]) -> None:
+        self._apply_weight_decay([p for p, has in zip(self.parameters, present) if has])
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
+        for lo, hi in _runs(self._offsets, present):
+            m, v, grad = self._m[lo:hi], self._v[lo:hi], self._grad[lo:hi]
+            delta, scratch = self._delta[lo:hi], self._scratch[lo:hi]
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            np.multiply(grad, 1.0 - self.beta1, out=scratch)
+            m += scratch
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(grad, 1.0 - self.beta2, out=scratch)
+            scratch *= grad
+            v += scratch
+            # delta = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            np.divide(m, bias1, out=delta)
+            delta *= self.lr
+            delta /= scratch
+        for param, delta, has_grad in zip(self.parameters, self._delta_views, present):
+            if has_grad:
+                param.data -= delta
+
+
+def _runs(offsets: list[int], present: list[bool]) -> list[tuple[int, int]]:
+    """Maximal ``[lo, hi)`` spans of the flat layout covering present parameters."""
+    runs: list[tuple[int, int]] = []
+    for lo, hi, has_grad in zip(offsets, offsets[1:], present):
+        if not has_grad:
+            continue
+        if runs and runs[-1][1] == lo:
+            runs[-1] = (runs[-1][0], hi)
+        else:
+            runs.append((lo, hi))
+    return runs

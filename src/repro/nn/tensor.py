@@ -24,6 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import ops
+
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "apply_op"]
 
 
@@ -441,18 +443,18 @@ class Tensor:
     def take_rows(self, indices: np.ndarray) -> "Tensor":
         """Embedding-style row gather: ``out[i] = self[indices[i]]``.
 
-        The backward pass scatter-adds into the table, giving the sparse
-        gradient semantics embedding lookup tables rely on.
+        The backward pass scatter-adds into the table
+        (:func:`repro.nn.ops.embedding_backward`), giving the sparse
+        gradient semantics embedding lookup tables rely on. Negative
+        indices count from the end, as in numpy indexing.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        original_shape = self.shape
-
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros(original_shape, dtype=np.float64)
-            np.add.at(full, indices, grad)
-            _send(self, full)
-
-        return Tensor._make(self.data[indices], (self,), backward)
+        rows = len(self.data)
+        if indices.size and not -rows <= indices.min() <= indices.max() < rows:
+            raise IndexError(f"row indices out of range for a table of {rows} rows")
+        indices = np.where(indices < 0, indices + rows, indices)
+        out, cache = ops.embedding_forward(self.data, indices)
+        return apply_op((self,), out, lambda grad: ops.embedding_backward(grad, cache))
 
     def dropout(self, rate: float, rng: np.random.Generator) -> "Tensor":
         """Inverted dropout: active only while grad recording is enabled."""

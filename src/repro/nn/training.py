@@ -4,24 +4,43 @@ Implements the training regime of the paper's Appendix A.1: MSE loss,
 Adam updates, dropout regularization inside the model, and *early stopping*
 that halts training when the validation loss stops improving and restores
 the best weights observed.
+
+Each mini-batch step runs either on the autograd tape or, when the model's
+exact type has a rule registered through :func:`register_train_step`, as a
+tape-free *compiled training step*: the forward, backward and update run
+straight on :mod:`repro.nn.ops` kernels, and the gradients land in the
+optimizer's flat gradient vector. A compiled step reproduces the tape
+bitwise — same random draws in the same order, same scalar operation
+order, same per-timestep gradient summation order — so which path ran
+never shows in the trained weights (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from ..obs import get_observability
+from . import ops
 from .inference import UnsupportedModuleError, compile_module
 from .init import ensure_rng
-from .layers import Module
-from .losses import get_loss
+from .layers import Module, Parameter
+from .losses import get_loss, mse_loss
 from .optim import Adam, Optimizer
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, is_grad_enabled, no_grad
 
-__all__ = ["EarlyStopping", "ReduceLROnPlateau", "TrainingDiverged", "TrainingHistory", "Trainer"]
+__all__ = [
+    "EarlyStopping",
+    "ReduceLROnPlateau",
+    "TrainingDiverged",
+    "TrainingHistory",
+    "Trainer",
+    "TrainStep",
+    "register_train_step",
+    "compile_train_step",
+]
 
 Batch = Mapping[str, np.ndarray]
 
@@ -32,6 +51,54 @@ _M_EPOCHS = _OBS.counter(
 _M_BATCHES = _OBS.counter(
     "repro_nn_batches_total", "Mini-batch gradient steps taken by Trainer.fit."
 )
+_M_STEPS = _OBS.counter(
+    "repro_nn_train_steps_total",
+    "Trainer.fit mini-batch steps by path: compiled (tape-free) or tape.",
+    labels=("path",),
+)
+
+
+#: Where a compiled step writes each parameter's gradient.
+GradOf = Callable[[Parameter], np.ndarray]
+
+
+class TrainStep(NamedTuple):
+    """A module's tape-free training pair.
+
+    ``forward(*inputs)`` returns ``(output, cache)``; ``backward(grad,
+    cache)`` overwrites the gradient array of every parameter of the
+    module (the arrays the rule's ``grad_of`` hands out). Inputs take no
+    gradient.
+    """
+
+    forward: Callable[..., tuple[np.ndarray, object]]
+    backward: Callable[[np.ndarray, object], None]
+
+
+_TRAIN_STEPS: dict[type, Callable[[Module, GradOf], TrainStep | None]] = {}
+
+
+def register_train_step(cls: type):
+    """Register a compiled-training rule: ``fn(module, grad_of) -> TrainStep | None``.
+
+    Keyed by exact type, like :func:`repro.nn.inference.register_compiler`
+    (a subclass may override ``forward``). The rule returns ``None`` when
+    this instance must stay on the tape (e.g. an unsupported sub-module).
+    The step must reproduce the module's autograd forward and backward
+    bitwise, random draws included.
+    """
+
+    def decorator(fn):
+        _TRAIN_STEPS[cls] = fn
+        return fn
+
+    return decorator
+
+
+def compile_train_step(module: Module, grad_of: GradOf) -> TrainStep | None:
+    """The registered rule's training pair for ``module``, or ``None`` (tape)."""
+    rule = _TRAIN_STEPS.get(type(module))
+    return None if rule is None else rule(module, grad_of)
 
 
 class TrainingDiverged(RuntimeError):
@@ -202,6 +269,8 @@ class Trainer:
 
         history = TrainingHistory()
         targets = np.asarray(targets, dtype=np.float64)
+        step = self._train_step()
+        steps_taken = _M_STEPS.labels(path="tape" if step is None else "compiled")
         for epoch in range(self.max_epochs):
             order = self.rng.permutation(n) if self.shuffle else np.arange(n)
             self.model.train()
@@ -209,14 +278,20 @@ class Trainer:
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
                 batch = {key: value[idx] for key, value in inputs.items()}
-                batch_targets = Tensor(targets[idx])
                 self.optimizer.zero_grad()
-                predicted = self.model(**batch)
-                loss = self.loss_fn(predicted, batch_targets)
-                loss.backward()
-                self.optimizer.step()
-                epoch_loss += loss.item() * len(idx)
+                if step is None:
+                    loss = self.loss_fn(self.model(**batch), Tensor(targets[idx]))
+                    loss.backward()
+                    self.optimizer.step()
+                    batch_loss = loss.item()
+                else:
+                    predicted, cache = step.forward(**batch)
+                    batch_loss, d_predicted = ops.mse_forward_backward(predicted, targets[idx])
+                    step.backward(d_predicted, cache)
+                    self.optimizer.step_gathered()
+                epoch_loss += batch_loss * len(idx)
                 _M_BATCHES.inc()
+                steps_taken.inc()
             train_loss = epoch_loss / n
             if not np.isfinite(train_loss):
                 raise TrainingDiverged(
@@ -244,6 +319,27 @@ class Trainer:
         if self.early_stopping is not None:
             self.early_stopping.finalize(self.model)
         return history
+
+    def _train_step(self) -> TrainStep | None:
+        """The model's compiled training step, or ``None`` to train on the tape.
+
+        Compiled only when every condition of its bitwise contract holds:
+        a rule is registered for the model's exact type, the loss is MSE,
+        the optimizer is a plain :class:`Adam` over exactly the model's
+        parameters, and gradient recording is on (the tape needs it too).
+        """
+        optimizer = self.optimizer
+        if (
+            self.loss_fn is not mse_loss
+            or type(optimizer) is not Adam
+            or not is_grad_enabled()
+        ):
+            return None
+        views = {id(p): view for p, view in zip(optimizer.parameters, optimizer.grad_views)}
+        params = list(self.model.parameters())
+        if len(views) != len(optimizer.parameters) or views.keys() != {id(p) for p in params}:
+            return None
+        return compile_train_step(self.model, lambda param: views[id(param)])
 
     def _compile(self):
         """Snapshot the current weights into a tape-free engine, if possible."""

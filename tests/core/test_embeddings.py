@@ -1,5 +1,7 @@
 """EnvironmentVocabulary and EnvironmentEmbeddings tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ class TestVocabulary:
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):
             EnvironmentVocabulary().fit([])
+
+    def test_per_window_lists_give_the_distinct_fit_and_ids(self):
+        # one environment object per window, repeated, shuffled, plus
+        # equal-but-distinct copies: same classes and ids as the distinct set
+        envs = _envs()
+        copies = [dataclasses.replace(env) for env in envs]
+        windows = [envs[i] for i in np.random.default_rng(5).integers(0, 3, 500)] + copies
+        distinct = EnvironmentVocabulary().fit(envs)
+        per_window = EnvironmentVocabulary().fit(windows)
+        assert per_window.to_config() == distinct.to_config()
+        expected = np.stack([distinct.encode_one(env) for env in windows])
+        np.testing.assert_array_equal(per_window.encode(windows), expected)
+        assert per_window.encode([]).shape == (0, 4)
 
     def test_custom_fields(self):
         vocab = EnvironmentVocabulary(fields=("sut", "build")).fit(_envs())

@@ -22,7 +22,7 @@ import subprocess
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SOURCE_ROOTS = ("src", "tests", "benchmarks")
+SOURCE_ROOTS = ("src", "tests", "benchmarks", "perfbench")
 
 
 def _python_files() -> list[Path]:
